@@ -3,45 +3,48 @@
 For each interned :class:`~repro.engine.plan.LayerPlan` geometry this package
 generates a specialized kernel — the fused tap-major Winograd forward, the
 fused autograd pair, and the im2col GEMM — with every loop bound, tile count
-and transform coefficient folded into constants.  Two emitters:
-
-* ``cffi`` (default) — C source (:mod:`.emit`) compiled by the host
-  toolchain and cached as shared objects in a versioned on-disk store
-  (:mod:`.build`, ``$REPRO_CODEGEN_CACHE``).
-* ``numba`` (optional, ``REPRO_CODEGEN_EMITTER=numba``) — the same kernels
-  as JIT-specialized closures, for hosts with numba but no C compiler.
+and transform coefficient folded into constants.  The C source (:mod:`.emit`)
+is compiled by the host toolchain through cffi and cached as shared objects
+in a versioned on-disk store (:mod:`.build`, ``$REPRO_CODEGEN_CACHE``).
 
 Nothing here decides *whether* a generated kernel runs: built kernels are
 registered as extra candidates in the ``tuned`` tier's spaces, and
 :func:`repro.engine.autotune.decide` benchmarks them against the blocked
 numpy variants per shape, persisting the winner through the plan cache.
-When codegen is disabled (``REPRO_CODEGEN=off``) or no emitter can deliver
-(no C toolchain, no numba), :func:`available` is false, the ``compiled``
-backend degrades bit-exactly to ``fast``, and plan-cache records naming
-codegen candidates load as clean misses.
+The ``prepare_*`` entry points build (or disk-load) the kernel for a
+geometry ahead of the benchmark rounds so :func:`decide` times the kernel,
+never the compile; the ``try_*`` entry points run it, returning ``None``
+when codegen cannot deliver so callers fall back to their numpy paths.
+When codegen is disabled (``REPRO_CODEGEN=off``) or no C toolchain exists,
+:func:`available` is false, ``tuned`` runs the ``fast`` code bit-exactly,
+and plan-cache records naming codegen candidates load as clean misses.
 """
 
 from __future__ import annotations
 
 import os
 
-from . import build, emit, numba_emitter
+import numpy as np
+
+from .. import fast
+from . import build, emit
 from .build import (CODEGEN_VERSION, ENV_CACHE_DIR, cache_dir, object_dir,
                     register_reset_hook, reset_stats, stats, stats_dict,
                     warm_disk)
 from .emit import GemmSpec, WinogradSpec
 
 __all__ = [
-    "ENV_ENABLE", "ENV_EMITTER", "ENV_CACHE_DIR", "CODEGEN_VERSION",
+    "ENV_ENABLE", "ENV_CACHE_DIR", "CODEGEN_VERSION",
     "WinogradSpec", "GemmSpec",
-    "enabled", "emitter_name", "available",
+    "enabled", "available",
     "forward_kernel", "backward_kernel", "gemm_kernel",
+    "try_forward", "try_autograd", "try_gemm",
+    "prepare_forward", "prepare_autograd", "prepare_gemm",
     "warm_disk", "cache_dir", "object_dir",
     "stats", "stats_dict", "reset_stats", "reset_state",
 ]
 
 ENV_ENABLE = "REPRO_CODEGEN"
-ENV_EMITTER = "REPRO_CODEGEN_EMITTER"
 
 # Per-spec kernel memo (emitting + hashing source per call would dominate a
 # sub-millisecond kernel).  Only successful builds are stored; availability
@@ -49,7 +52,6 @@ ENV_EMITTER = "REPRO_CODEGEN_EMITTER"
 # immediately and build failures short-circuit inside :mod:`.build`.
 _SPEC_KERNELS: dict = {}
 register_reset_hook(_SPEC_KERNELS.clear)
-register_reset_hook(numba_emitter.reset)
 
 
 def enabled() -> bool:
@@ -57,37 +59,25 @@ def enabled() -> bool:
         "off", "0", "false", "no")
 
 
-def emitter_name() -> str:
-    name = os.environ.get(ENV_EMITTER, "").strip().lower()
-    return name if name in ("cffi", "numba") else "cffi"
-
-
 def available() -> bool:
     """Can this process deliver generated kernels right now?
 
-    False when disabled by env, when the selected emitter's toolchain is
-    missing, or after a build failure flagged the toolchain broken.  The
-    ``compiled`` backend and the ``tuned`` tier's candidate registration both
-    gate on this, which is what makes the no-toolchain degradation bit-exact.
+    False when disabled by env or when the C toolchain (cffi plus a
+    compiler) is missing.  The ``tuned`` tier's candidate registration and
+    every ``try_*`` entry point gate on this, which is what makes the
+    no-toolchain degradation bit-exact.
     """
-    if not enabled():
-        return False
-    if emitter_name() == "numba":
-        return numba_emitter.available()
-    return build.toolchain_available()
+    return enabled() and build.toolchain_available()
 
 
-def _get(kind: str, spec, make_source, numba_make):
+def _get(kind: str, spec, make_source):
     if not available():
         return None
-    key = (kind, emitter_name(), spec)
+    key = (kind, spec)
     kern = _SPEC_KERNELS.get(key)
     if kern is not None:
         return kern
-    if emitter_name() == "numba":
-        kern = numba_make(spec)
-    else:
-        kern = build.get_kernel(make_source(spec))
+    kern = build.get_kernel(make_source(spec))
     if kern is not None:
         _SPEC_KERNELS[key] = kern
     return kern
@@ -95,21 +85,177 @@ def _get(kind: str, spec, make_source, numba_make):
 
 def forward_kernel(spec: WinogradSpec):
     """``kern(x_padded, w_r, out)`` for this geometry, or ``None``."""
-    return _get("fwd", spec, emit.emit_winograd_forward,
-                numba_emitter.forward_kernel)
+    return _get("fwd", spec, emit.emit_winograd_forward)
 
 
 def backward_kernel(spec: WinogradSpec):
     """``kern(x_padded, w_rt, grad, dx, dw_r)`` for this geometry, or ``None``."""
-    return _get("bwd", spec, emit.emit_winograd_backward,
-                numba_emitter.backward_kernel)
+    return _get("bwd", spec, emit.emit_winograd_backward)
 
 
 def gemm_kernel(spec: GemmSpec):
     """``kern(w2d, cols, out)`` for this geometry, or ``None``."""
-    return _get("gemm", spec, emit.emit_gemm, numba_emitter.gemm_kernel)
+    return _get("gemm", spec, emit.emit_gemm)
 
 
 def reset_state() -> None:
     """Forget kernels, failures and stats (testing / fork-cold workers)."""
     build.reset_state()
+
+
+# --------------------------------------------------------------------------- #
+# Candidate entry points for the tuned tier
+# --------------------------------------------------------------------------- #
+# Emitted source is O(alpha²) straight-line statements and the kernels keep
+# static alpha²·C·TB workspaces; cap the geometry so a pathological plan
+# can't explode compile time or the BSS.  F2/F4/F6 all fit comfortably.
+_MAX_ALPHA = 8
+_MAX_CHANNELS = 1024
+
+
+def _f64(*arrays) -> bool:
+    return all(a.dtype == np.float64 for a in arrays)
+
+
+def _wino_spec(x_padded: np.ndarray, cout: int, transform,
+               out_h: int, out_w: int) -> WinogradSpec | None:
+    n, cin, hp, wp = x_padded.shape
+    m, r = transform.m, transform.r
+    a = m + r - 1
+    if a > _MAX_ALPHA or cin > _MAX_CHANNELS or cout > _MAX_CHANNELS:
+        return None
+    n_h = (hp - (r - 1)) // m
+    n_w = (wp - (r - 1)) // m
+    if n * n_h * n_w < 1:
+        return None
+    if n_h * m < out_h or n_w * m < out_w:
+        return None            # tiles don't cover the requested output
+
+    as_rows = lambda mat: tuple(
+        tuple(float(v) for v in row) for row in np.asarray(mat))
+    return WinogradSpec(n=n, cin=cin, cout=cout, hp=hp, wp=wp,
+                        out_h=out_h, out_w=out_w, m=m, r=r,
+                        bt=as_rows(transform.BT), at=as_rows(transform.AT))
+
+
+def prepare_forward(x_padded: np.ndarray, w_r: np.ndarray, transform,
+                    out_h: int, out_w: int) -> bool:
+    """Build (or load) the forward kernel for this geometry; True if ready."""
+    if not available() or not _f64(x_padded, w_r):
+        return False
+    spec = _wino_spec(x_padded, w_r.shape[1], transform, out_h, out_w)
+    return spec is not None and forward_kernel(spec) is not None
+
+
+def try_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
+                out_h: int, out_w: int,
+                w_r: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray | None:
+    if not available() or x_padded.dtype != np.float64:
+        return None
+    if w_r is None:
+        if weight.dtype != np.float64:
+            return None
+        w_r = fast.transform_weights_tap_major(weight, transform)
+    if w_r.dtype != np.float64:
+        return None
+    cout = w_r.shape[1]
+    spec = _wino_spec(x_padded, cout, transform, out_h, out_w)
+    if spec is None:
+        return None
+    kern = forward_kernel(spec)
+    if kern is None:
+        return None
+    xc = np.ascontiguousarray(x_padded)
+    wc = np.ascontiguousarray(w_r)
+    shape = (spec.n, cout, out_h, out_w)
+    if (out is not None and out.shape == shape and out.dtype == np.float64
+            and out.flags.c_contiguous):
+        res = out
+    else:
+        res = np.empty(shape, dtype=np.float64)
+    kern(xc, wc, res)
+    return res
+
+
+def prepare_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
+                     out_h: int, out_w: int) -> bool:
+    """Build (or load) the forward+backward pair; True when both are ready."""
+    if not available() or not _f64(x_padded, weight):
+        return False
+    spec = _wino_spec(x_padded, weight.shape[0], transform, out_h, out_w)
+    if spec is None:
+        return False
+    return (forward_kernel(spec) is not None
+            and backward_kernel(spec) is not None)
+
+
+def try_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
+                 out_h: int, out_w: int):
+    if not available() or not _f64(x_padded, weight):
+        return None
+    cout, cin = weight.shape[0], weight.shape[1]
+    spec = _wino_spec(x_padded, cout, transform, out_h, out_w)
+    if spec is None:
+        return None
+    fwd_kern = forward_kernel(spec)
+    bwd_kern = backward_kernel(spec)
+    if fwd_kern is None or bwd_kern is None:
+        return None
+    a = spec.alpha
+    xc = np.ascontiguousarray(x_padded)
+    w_r = np.ascontiguousarray(
+        fast.transform_weights_tap_major(weight, transform))
+    out = np.empty((spec.n, cout, out_h, out_w), dtype=np.float64)
+    fwd_kern(xc, w_r, out)
+    # The backward GEMM wants the per-tap transpose (a², Cin, Cout).
+    w_rt = np.ascontiguousarray(w_r.transpose(0, 2, 1))
+    g_mat = np.asarray(transform.G, dtype=np.float64)
+
+    def backward(grad: np.ndarray):
+        g = np.ascontiguousarray(grad, dtype=np.float64)
+        dx = np.zeros_like(xc)
+        dw_r = np.zeros((a * a, cout, cin), dtype=np.float64)
+        bwd_kern(xc, w_rt, g, dx, dw_r)
+        # Winograd-domain weight gradient back to tap space: Gᵀ · dŴ · G.
+        dw_wino = dw_r.reshape(a, a, cout, cin).transpose(2, 3, 0, 1)
+        dw = g_mat.T @ dw_wino @ g_mat
+        return dx, np.ascontiguousarray(dw)
+
+    return out, backward
+
+
+def _gemm_spec(w2d: np.ndarray, cols: np.ndarray) -> GemmSpec | None:
+    if cols.ndim != 3 or w2d.ndim != 2 or w2d.shape[1] != cols.shape[1]:
+        return None
+    return GemmSpec(n=cols.shape[0], o=w2d.shape[0],
+                    k=w2d.shape[1], p=cols.shape[2])
+
+
+def prepare_gemm(w2d: np.ndarray, cols: np.ndarray) -> bool:
+    if not available() or not _f64(w2d, cols):
+        return False
+    spec = _gemm_spec(w2d, cols)
+    return spec is not None and gemm_kernel(spec) is not None
+
+
+def try_gemm(w2d: np.ndarray, cols: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray | None:
+    if not available() or not _f64(w2d, cols):
+        return None
+    spec = _gemm_spec(w2d, cols)
+    if spec is None:
+        return None
+    kern = gemm_kernel(spec)
+    if kern is None:
+        return None
+    wc = np.ascontiguousarray(w2d)
+    cc = np.ascontiguousarray(cols)
+    shape = (spec.n, spec.o, spec.p)
+    if (out is not None and out.shape == shape and out.dtype == np.float64
+            and out.flags.c_contiguous):
+        res = out
+    else:
+        res = np.empty(shape, dtype=np.float64)
+    kern(wc, cc, res)
+    return res

@@ -13,14 +13,14 @@ file in a versioned on-disk store.  Lookups go memory → disk → compile:
   a crashed build can never publish a partial file, and a corrupt or
   truncated object fails its import and is treated as a clean miss (counted,
   then rebuilt over).
-* **compile** — cffi API mode in a private temp dir.  Any build failure
-  marks the toolchain broken for the rest of the process (one failed probe,
-  not one per shape) and reports the kernel as unavailable; callers fall
-  back to their numpy paths.
+* **compile** — cffi API mode in a private temp dir.  A failed build
+  records its digest, so that one source is never rebuilt in this process
+  and its kernel reports unavailable; other sources still build.  A missing
+  compiler is caught up front by :func:`toolchain_available`.
 
 All entry points return ``None`` instead of raising when codegen cannot
-deliver — the contract that lets the ``compiled`` backend degrade bit-exactly
-to ``fast`` on toolchain-less hosts.
+deliver — the contract that lets the ``tuned`` tier fall back bit-exactly
+to ``fast``'s code on toolchain-less hosts.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ _STATS = CodegenStats()
 _LOCK = threading.Lock()
 _KERNELS: dict[str, "LoadedKernel"] = {}     # digest -> loaded kernel
 _FAILED: set[str] = set()                     # digests whose build failed
-_TOOLCHAIN_BROKEN = False
 _RESET_HOOKS: list = []
 
 
@@ -129,8 +128,6 @@ def toolchain_available() -> bool:
     it at a nonexistent binary simulates a toolchain-less host — the CI
     fallback leg does exactly that.
     """
-    if _TOOLCHAIN_BROKEN:
-        return False
     if importlib.util.find_spec("cffi") is None:
         return False
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
@@ -164,7 +161,6 @@ def _load_object(path: str, digest: str) -> LoadedKernel | None:
 
 def _build_object(src: KernelSource, digest: str) -> str | None:
     """Compile ``src`` in a private temp dir, publish atomically; path or None."""
-    global _TOOLCHAIN_BROKEN
     dest = _object_path(digest)
     modname = f"{_PREFIX}{digest}"
     try:
@@ -188,9 +184,6 @@ def _build_object(src: KernelSource, digest: str) -> str | None:
     except Exception:
         with _LOCK:
             _STATS.build_failures += 1
-            # One failed compile means every other compile on this host will
-            # fail the same way; stop probing and let callers fall back.
-            _TOOLCHAIN_BROKEN = True
         return None
     with _LOCK:
         _STATS.builds += 1
@@ -286,11 +279,9 @@ def reset_state() -> None:
     Already-imported extension modules stay importable (CPython cannot unload
     shared objects), but lookups after a reset go back through the disk path.
     """
-    global _TOOLCHAIN_BROKEN
     with _LOCK:
         _KERNELS.clear()
         _FAILED.clear()
-        _TOOLCHAIN_BROKEN = False
     reset_stats()
     for fn in _RESET_HOOKS:
         with contextlib.suppress(Exception):

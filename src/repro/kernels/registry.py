@@ -2,13 +2,15 @@
 
 Every numerically heavy primitive of the library (the tap-wise contraction,
 the Winograd pair transforms, tile extraction/scattering, and the im2col
-GEMMs) is routed through a :class:`KernelBackend`.  Two backends are
+GEMMs) is routed through a :class:`KernelBackend`.  Three backends are
 registered by :mod:`repro.kernels`:
 
 * ``"reference"`` — the seed implementation (generic ``np.einsum`` plus
   Python loops), kept verbatim so the fast path can be equivalence-tested
   against it forever.
 * ``"fast"`` — batched-GEMM formulations that reach BLAS (the default).
+* ``"tuned"`` — per-shape autotuned variants of the fast primitives,
+  generated native kernels among the candidates.
 
 Selection, in decreasing precedence:
 

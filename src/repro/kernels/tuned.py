@@ -48,8 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import compiled as _compiled
-from . import fast
+from . import codegen, fast
 from .einsum_cache import cached_einsum
 from .registry import KernelBackend
 
@@ -169,8 +168,8 @@ def _winograd_forward_batch(x_padded: np.ndarray, weight: np.ndarray,
 def _run_forward(choice: dict, x_padded, weight, transform, out_h, out_w,
                  w_r, out):
     if choice.get("kernel") == "codegen":
-        res = _compiled.try_forward(x_padded, weight, transform,
-                                    out_h, out_w, w_r=w_r, out=out)
+        res = codegen.try_forward(x_padded, weight, transform,
+                                  out_h, out_w, w_r=w_r, out=out)
         if res is not None:
             return res
         choice = _FWD_DEFAULT        # codegen no longer available: fall back
@@ -195,7 +194,7 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
     key = _forward_key(x_padded.shape, weight.shape[0], transform.name,
                        x_padded.dtype)
     candidates = _FWD_CANDIDATES
-    if _offering_codegen(key) and _compiled.prepare_forward(
+    if _offering_codegen(key) and codegen.prepare_forward(
             x_padded, w_r, transform, out_h, out_w):
         candidates = candidates + (_CODEGEN_CHOICE,)
     choice = _autotune().decide(
@@ -232,14 +231,14 @@ def winograd_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
     key = _autograd_key(x_padded.shape, weight.shape, transform.name,
                         x_padded.dtype)
     candidates = _AG_CANDIDATES
-    if _offering_codegen(key) and _compiled.prepare_autograd(
+    if _offering_codegen(key) and codegen.prepare_autograd(
             x_padded, weight, transform, out_h, out_w):
         candidates = candidates + (_CODEGEN_CHOICE,)
 
     def _instantiate(choice: dict):
         if choice.get("kernel") == "codegen":
-            res = _compiled.try_autograd(x_padded, weight, transform,
-                                         out_h, out_w)
+            res = codegen.try_autograd(x_padded, weight, transform,
+                                       out_h, out_w)
             if res is not None:
                 return res           # codegen no longer available: fall back
             choice = _AG_DEFAULT
@@ -341,7 +340,7 @@ def _gemm_key(w2d: np.ndarray, cols: np.ndarray) -> str:
 def _run_gemm(choice: dict, w2d: np.ndarray, cols: np.ndarray,
               out: np.ndarray | None) -> np.ndarray:
     if choice.get("kernel") == "codegen":
-        res = _compiled.try_gemm(w2d, cols, out=out)
+        res = codegen.try_gemm(w2d, cols, out=out)
         if res is not None:
             return res
         choice = _GEMM_DEFAULT       # codegen no longer available: fall back
@@ -363,7 +362,7 @@ def conv2d_gemm(w2d: np.ndarray, cols: np.ndarray,
         return fast.conv2d_gemm(w2d, cols, out=out)
     key = _gemm_key(w2d, cols)
     candidates = _GEMM_CANDIDATES
-    if _offering_codegen(key) and _compiled.prepare_gemm(w2d, cols):
+    if _offering_codegen(key) and codegen.prepare_gemm(w2d, cols):
         candidates = candidates + (_CODEGEN_CHOICE,)
     choice = _autotune().decide(
         key, candidates,

@@ -85,7 +85,7 @@ def disable() -> None:
 def suppress_export() -> None:
     """Disarm the atexit ``REPRO_TRACE`` export in this process.
 
-    Called by worker processes (shm pool / pickle pool initializers) so
+    Called by shm pool worker processes at startup so
     only the coordinating process writes the trace file.
     """
     global _EXPORT_SUPPRESSED

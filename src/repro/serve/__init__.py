@@ -20,8 +20,9 @@ pipelines with traffic):
   by a :class:`WorkerSupervisor`: dead or stalled workers are detected
   (process sentinel + heartbeats), respawned with capped backoff, and their
   unacknowledged jobs retried bit-exactly on surviving workers.
-  :class:`repro.engine.BatchRunner` delegates to it by default and degrades
-  to inline execution if the pool becomes :class:`PoolUnavailable`.
+  :class:`repro.engine.BatchRunner` runs its workers on it and degrades to
+  inline execution if the pool cannot start or becomes
+  :class:`PoolUnavailable`.
 * :class:`Server` — a synchronous facade with ``submit`` / ``infer`` /
   ``infer_batch``, end-to-end deadlines, load shedding, an in-process
   fallback model, p50/p99 latency + robustness stats, and graceful

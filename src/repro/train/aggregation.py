@@ -9,14 +9,22 @@ parameters and buffers alongside its slice of the batch, which is what makes
 the whole scheme crash-safe:
 
 * a frame is a **pure function input** — the reply (per-chunk loss sum,
-  gradient sums, updated BN/observer buffers) depends on nothing but the
-  frame bytes, so a retried shard after a worker death is bit-identical to
-  the original;
+  gradient sums, updated BN buffers) depends on nothing but the frame bytes,
+  so a retried shard after a worker death is bit-identical to the original;
 * the degraded path (total pool loss) simply runs the *same* compiled job on
   the *same* frames in the parent process, so inline results match pooled
   results bit for bit;
 * the host accumulates replies in fixed chunk-index order, so the final
   gradient never depends on worker scheduling.
+
+These guarantees cover model state held in parameters and registered
+buffers only.  The QAT observers (:mod:`repro.quant.observer`) keep
+``running_max`` as a plain attribute, so it never travels in a frame: each
+compiled copy of the job — one per worker, one for the degraded path —
+calibrates on the shards it has itself computed.  For a QAT model a reply
+is therefore a pure function of its frame only for a copy's first shard,
+i.e. at step 1 of a fault-free run; from step 2 on, pooled, retried and
+degraded-inline steps can differ (measured 0.1-1% apart in the loss).
 
 Frame layout (one contiguous float64 vector)::
 

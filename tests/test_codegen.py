@@ -10,6 +10,10 @@ Covers the codegen object store and its integration with the autotuner:
 * graceful degradation — ``REPRO_CODEGEN=off`` and a missing C compiler
   (simulated with ``CC=<nonexistent>``) both report unavailable and return
   ``None`` from every kernel getter;
+* a source that fails to compile is skipped on its own: it counts one build
+  failure and other geometries still build;
+* equivalence of the generated kernels the ``try_*`` entry points run (F2/F4
+  forward, the fused autograd pair, the im2col GEMM) with ``fast``;
 * the tuned tier offering the codegen candidate only in full mode, the
   winner persisting through the plan cache, and a simulated second process
   adopting it with zero benchmarks and zero rebuilds;
@@ -28,11 +32,13 @@ import numpy as np
 import pytest
 
 from repro.engine import CompiledConv, autotune, clear_plan_cache
-from repro.kernels import codegen, compiled
+from repro.kernels import codegen
 from repro.kernels import fast as fast_mod
 from repro.kernels import tuned as tuned_mod
 from repro.kernels.codegen import build as cg_build
+from repro.nn.tensor import Tensor
 from repro.winograd import winograd_conv2d, winograd_f2, winograd_f4
+from repro.winograd.conv import winograd_conv2d_tensor
 
 NO_TOOLCHAIN = not codegen.available()
 needs_toolchain = pytest.mark.skipif(
@@ -72,7 +78,7 @@ def _spec(rng, transform=None, size=12, cin=3, cout=4):
     x = rng.normal(size=(2, cin, size, size))
     x_padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     w = rng.normal(size=(cout, cin, 3, 3))
-    spec = compiled._wino_spec(x_padded, cout, t, size, size)
+    spec = codegen._wino_spec(x_padded, cout, t, size, size)
     assert spec is not None
     return spec, x_padded, w, t
 
@@ -127,7 +133,7 @@ class TestObjectStore:
         s = codegen.stats_dict()
         assert s["load_errors"] >= 1
         assert s["builds"] == 1
-        out = compiled.try_forward(x_padded, w, t, 12, 12)
+        out = codegen.try_forward(x_padded, w, t, 12, 12)
         np.testing.assert_allclose(
             out, fast_mod.winograd_forward(x_padded, w, t, 12, 12),
             atol=1e-10)
@@ -148,6 +154,23 @@ class TestObjectStore:
         assert codegen.warm_disk() == 0
         assert codegen.stats_dict()["load_errors"] == 0
 
+    def test_failed_source_does_not_disable_other_builds(self, rng,
+                                                         cg_sandbox):
+        from repro.kernels.codegen.emit import KernelSource
+        broken = KernelSource(
+            name="repro_cg_broken", cdef="void repro_cg_broken(double *);",
+            source="void repro_cg_broken(double *p) { p[0] = ; }")
+        assert cg_build.get_kernel(broken) is None
+        assert codegen.stats_dict()["build_failures"] == 1
+        assert codegen.available()
+        spec, *_ = _spec(rng)
+        assert codegen.forward_kernel(spec) is not None
+        s = codegen.stats_dict()
+        assert s["builds"] == 1 and s["build_failures"] == 1
+        # The failed digest is remembered: no second compile attempt.
+        assert cg_build.get_kernel(broken) is None
+        assert codegen.stats_dict()["build_failures"] == 1
+
 
 # --------------------------------------------------------------------------- #
 # Availability and degradation
@@ -158,9 +181,61 @@ class TestAvailability:
         codegen.reset_state()
         assert not codegen.enabled()
         assert not codegen.available()
-        spec, *_ = _spec(rng)
+        spec, x_padded, w, t = _spec(rng)
         assert codegen.forward_kernel(spec) is None
         assert codegen.backward_kernel(spec) is None
+        assert codegen.try_forward(x_padded, w, t, 12, 12) is None
+        assert codegen.try_autograd(x_padded, w, t, 12, 12) is None
+        cols = fast_mod.im2col(x_padded, (3, 3), 1, 0)
+        assert codegen.try_gemm(w.reshape(w.shape[0], -1), cols) is None
+        assert codegen.stats_dict()["builds"] == 0
+
+    def test_disabled_codegen_is_bit_exact_with_fast(self, cg_sandbox,
+                                                     monkeypatch, rng):
+        """REPRO_CODEGEN=off must leave zero numeric trace.
+
+        Every tuned decision is forced to the codegen choice; with codegen
+        off each one must run ``fast``'s code, so forward, gradients and the
+        GEMM are bit-identical to ``fast`` and nothing is built.
+        """
+        class _BindCodegen:
+            @staticmethod
+            def get_mode():
+                return "full"
+
+            @staticmethod
+            def lookup(key):
+                return None
+
+            @staticmethod
+            def decide(key, candidates, run, default):
+                assert {"kernel": "codegen"} not in candidates
+                return {"kernel": "codegen"}
+
+        monkeypatch.setenv(codegen.ENV_ENABLE, "off")
+        codegen.reset_state()
+        monkeypatch.setattr(tuned_mod, "_autotune", lambda: _BindCodegen)
+        assert not codegen.available()
+        x = rng.normal(size=(2, 3, 12, 12))
+        w = rng.normal(size=(4, 3, 3, 3))
+        for factory in (winograd_f2, winograd_f4):
+            np.testing.assert_array_equal(
+                winograd_conv2d(x, w, factory(), padding=1, backend="tuned"),
+                winograd_conv2d(x, w, factory(), padding=1, backend="fast"))
+        grads = {}
+        for name in ("tuned", "fast"):
+            xt = Tensor(x.copy(), requires_grad=True)
+            wt = Tensor(w.copy(), requires_grad=True)
+            out = winograd_conv2d_tensor(xt, wt, winograd_f4(), padding=1,
+                                         backend=name)
+            out.backward(np.ones_like(out.data))
+            grads[name] = (out.data, xt.grad, wt.grad)
+        for got, want in zip(grads["tuned"], grads["fast"]):
+            np.testing.assert_array_equal(got, want)
+        cols = fast_mod.im2col(x, (3, 3), 1, 1)
+        w2d = w.reshape(w.shape[0], -1)
+        np.testing.assert_array_equal(tuned_mod.conv2d_gemm(w2d, cols),
+                                      fast_mod.conv2d_gemm(w2d, cols))
         assert codegen.stats_dict()["builds"] == 0
 
     def test_missing_compiler_reports_unavailable(self, cg_sandbox,
@@ -171,17 +246,79 @@ class TestAvailability:
         assert not codegen.available()
         spec, x_padded, w, t = _spec(rng)
         assert codegen.forward_kernel(spec) is None
-        # The compiled backend is bit-exact with fast on such a host.
+        # A bound codegen choice in the tuned tier falls back to fast's code,
+        # bit-exactly, on such a host.
         np.testing.assert_array_equal(
-            compiled.winograd_forward(x_padded, w, t, 12, 12),
+            tuned_mod._run_forward({"kernel": "codegen"}, x_padded, w, t,
+                                   12, 12, None, None),
             fast_mod.winograd_forward(x_padded, w, t, 12, 12))
 
-    def test_numba_emitter_honest_about_absence(self, cg_sandbox, monkeypatch):
-        from repro.kernels.codegen import numba_emitter
-        monkeypatch.setenv(codegen.ENV_EMITTER, "numba")
-        codegen.reset_state()
-        assert codegen.emitter_name() == "numba"
-        assert codegen.available() == numba_emitter.available()
+
+# --------------------------------------------------------------------------- #
+# Generated kernels against fast
+# --------------------------------------------------------------------------- #
+def _covered(x, transform, padding):
+    """Pad ``x`` by ``padding``, then bottom/right until tiles cover the output.
+
+    The same input geometry the public entry points hand the kernels.
+    """
+    m, r = transform.m, transform.r
+    out = x.shape[2] + 2 * padding - r + 1
+    extra = -(-out // m) * m + r - 1 - (x.shape[2] + 2 * padding)
+    x_padded = np.pad(x, ((0, 0), (0, 0), (padding, padding + extra),
+                          (padding, padding + extra)))
+    return x_padded, out
+
+
+@needs_toolchain
+class TestCandidateEquivalence:
+    @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_forward_matches_fast(self, rng, cg_sandbox, factory, padding):
+        t = factory()
+        x_padded, out = _covered(rng.normal(size=(2, 3, 12, 12)), t, padding)
+        w = rng.normal(size=(4, 3, 3, 3))
+        got = codegen.try_forward(x_padded, w, t, out, out)
+        assert got is not None
+        np.testing.assert_allclose(
+            got, fast_mod.winograd_forward(x_padded, w, t, out, out),
+            atol=1e-10)
+
+    @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
+    def test_autograd_matches_fast(self, rng, cg_sandbox, factory):
+        t = factory()
+        x_padded, out = _covered(rng.normal(size=(2, 3, 12, 12)), t, 1)
+        w = rng.normal(size=(4, 3, 3, 3))
+        grad = rng.normal(size=(2, 4, out, out))
+        res = codegen.try_autograd(x_padded, w, t, out, out)
+        assert res is not None
+        got_out, got_backward = res
+        want_out, want_backward = fast_mod.winograd_autograd(x_padded, w, t,
+                                                             out, out)
+        np.testing.assert_allclose(got_out, want_out, atol=1e-9)
+        for got, want in zip(got_backward(grad), want_backward(grad)):
+            np.testing.assert_allclose(got, want, atol=1e-9)
+
+    def test_gemm_matches_fast(self, rng, cg_sandbox):
+        x = rng.normal(size=(2, 3, 9, 11))
+        cols = fast_mod.im2col(x, (3, 3), 1, 1)
+        w2d = rng.normal(size=(7, 27))
+        got = codegen.try_gemm(w2d, cols)
+        assert got is not None
+        np.testing.assert_allclose(got, fast_mod.conv2d_gemm(w2d, cols),
+                                   atol=1e-11)
+
+    def test_uncovered_geometry_returns_none(self, rng, cg_sandbox):
+        """Tiles that can't cover the asked-for output get no kernel.
+
+        The public entry points pad inputs up to full tile coverage, so this
+        can only happen on direct calls; the caller then runs its numpy path
+        rather than a kernel generated for a geometry that doesn't exist.
+        """
+        x_padded = rng.normal(size=(2, 3, 11, 13))  # F4: 2 tiles cover 8 < 9
+        w = rng.normal(size=(4, 3, 3, 3))
+        assert codegen.try_forward(x_padded, w, winograd_f4(), 9, 11) is None
+        assert codegen.stats_dict()["builds"] == 0
 
 
 # --------------------------------------------------------------------------- #

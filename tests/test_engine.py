@@ -294,34 +294,22 @@ class TestBatchRunner:
         empty = np.empty((0, 3, 10, 10))
         assert BatchRunner(job).run(empty).shape == (0, 4, 10, 10)
         assert BatchRunner(job).map([]) == []
-        for transport in ("pickle", "shm"):
-            try:
-                with BatchRunner(job, num_workers=2,
-                                 transport=transport) as runner:
-                    assert runner.run(empty).shape == (0, 4, 10, 10)
-                    assert runner.map([]) == []
-            except (OSError, PermissionError) as exc:  # pragma: no cover
-                pytest.skip(f"multiprocessing unavailable: {exc}")
+        with BatchRunner(job, num_workers=2) as runner:
+            assert runner.run(empty).shape == (0, 4, 10, 10)
+            assert runner.map([]) == []
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_ragged_final_chunk_round_trips(self, rng, transport):
+    def test_ragged_final_chunk_round_trips(self, rng):
         """Regression: a final chunk smaller than the shard size is fine."""
         x = rng.normal(size=(7, 3, 10, 10))      # chunk_size 3 -> 3 + 3 + 1
         w = rng.normal(size=(4, 3, 3, 3))
         job = ConvJob(weight=w, padding=1, transform="F4")
         inline = BatchRunner(job).run(x)
         try:
-            with BatchRunner(job, num_workers=2, chunk_size=3,
-                             transport=transport) as runner:
+            with BatchRunner(job, num_workers=2, chunk_size=3) as runner:
                 sharded = runner.run(x)
         except (OSError, PermissionError) as exc:  # pragma: no cover
             pytest.skip(f"multiprocessing unavailable in this sandbox: {exc}")
         np.testing.assert_allclose(sharded, inline, atol=1e-12)
-
-    def test_unknown_transport_rejected(self, rng):
-        w = rng.normal(size=(4, 3, 3, 3))
-        with pytest.raises(ValueError, match="transport"):
-            BatchRunner(ConvJob(weight=w), transport="carrier-pigeon")
 
 
 # --------------------------------------------------------------------------- #

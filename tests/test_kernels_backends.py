@@ -39,8 +39,9 @@ DEFAULT_NAME = os.environ.get(kernels.ENV_VAR) or kernels.DEFAULT_BACKEND
 # --------------------------------------------------------------------------- #
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert available_backends() == ["compiled", "fast", "reference",
-                                        "tuned"]
+        assert available_backends() == ["fast", "reference", "tuned"]
+        with pytest.raises(kernels.UnknownBackendError):
+            set_backend("compiled")
 
     def test_default_resolution(self):
         reset_backend()
@@ -256,138 +257,6 @@ class TestEndToEnd:
         scales = calibrate_tapwise_scales(x, w, winograd_f6())
         with pytest.raises(ValueError):
             integer_winograd_conv2d(x, w, winograd_f6(), scales)
-
-
-# --------------------------------------------------------------------------- #
-# The compiled tier (PR 9): shape-specialized generated kernels, else fast
-# --------------------------------------------------------------------------- #
-class TestCompiledBackend:
-    """``compiled`` must match ``fast`` in every regime — with the generated
-    native kernels when a toolchain is present, and *bit-exactly* (the same
-    code runs) when codegen is off or unavailable."""
-
-    @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
-    @pytest.mark.parametrize("padding", [0, 1])
-    def test_float_forward_matches_fast(self, rng, factory, padding):
-        from repro.kernels import codegen
-        x = rng.normal(size=(2, 3, 12, 12))
-        w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=(4,))
-        out_fast = winograd_conv2d(x, w, factory(), bias=b, padding=padding,
-                                   backend="fast")
-        before = codegen.stats_dict()["builds"] + \
-            codegen.stats_dict()["memory_hits"] + \
-            codegen.stats_dict()["disk_hits"]
-        out_compiled = winograd_conv2d(x, w, factory(), bias=b,
-                                       padding=padding, backend="compiled")
-        np.testing.assert_allclose(out_compiled, out_fast, atol=1e-10)
-        if codegen.available() and padding == 1:
-            # padding=1 gives full tile coverage: the generated kernel ran.
-            s = codegen.stats_dict()
-            assert s["builds"] + s["memory_hits"] + s["disk_hits"] > before
-
-    @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
-    def test_autograd_matches_fast(self, rng, factory):
-        x = rng.normal(size=(2, 3, 12, 12))
-        w = rng.normal(size=(4, 3, 3, 3))
-        seed_grad = rng.normal(size=(2, 4, 12, 12))
-        grads = {}
-        for name in ("fast", "compiled"):
-            xt = Tensor(x.copy(), requires_grad=True)
-            wt = Tensor(w.copy(), requires_grad=True)
-            out = winograd_conv2d_tensor(xt, wt, factory(), padding=1,
-                                         backend=name)
-            out.backward(seed_grad)
-            grads[name] = (out.data, xt.grad, wt.grad)
-        for got, want in zip(grads["compiled"], grads["fast"]):
-            np.testing.assert_allclose(got, want, atol=1e-9)
-
-    def test_conv2d_gemm_matches_fast(self, rng):
-        x = rng.normal(size=(2, 3, 9, 11))
-        cols = FAST.im2col(x, (3, 3), 1, 1)
-        w2d = rng.normal(size=(7, 27))
-        compiled = get_backend("compiled")
-        np.testing.assert_allclose(compiled.conv2d_gemm(w2d, cols),
-                                   FAST.conv2d_gemm(w2d, cols), atol=1e-11)
-
-    @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
-    def test_integer_path_bit_exact(self, rng, factory):
-        """Integers never enter codegen: the fast path runs verbatim."""
-        transform = factory()
-        x = rng.normal(size=(2, 3, 12, 12))
-        w = rng.normal(size=(4, 3, 3, 3))
-        scales = calibrate_tapwise_scales(x, w, transform, power_of_two=True)
-        out_fast, stats_fast = integer_winograd_conv2d(
-            x, w, transform, scales, return_stats=True, backend="fast")
-        out_compiled, stats_compiled = integer_winograd_conv2d(
-            x, w, transform, scales, return_stats=True, backend="compiled")
-        assert stats_compiled == stats_fast
-        np.testing.assert_array_equal(out_compiled, out_fast)
-
-    def test_quantized_replay_bit_exact(self, rng):
-        """A calibrated Quantizer replays identically through compiled."""
-        from repro.quant import Quantizer
-        q = Quantizer(n_bits=8, power_of_two=True)
-        q.forward(Tensor(rng.normal(size=(2, 3, 12, 12))))  # calibrate
-        q.eval()
-        x = rng.normal(size=(2, 3, 12, 12))
-        w = rng.normal(size=(4, 3, 3, 3))
-        xq = q.fake_quantize_array(x)
-        out_fast = winograd_conv2d(xq, w, winograd_f4(), padding=1,
-                                   backend="fast")
-        out_compiled = winograd_conv2d(xq, w, winograd_f4(), padding=1,
-                                       backend="compiled")
-        np.testing.assert_allclose(out_compiled, out_fast, atol=1e-10)
-
-    def test_disabled_codegen_is_bit_exact_with_fast(self, rng, monkeypatch):
-        """REPRO_CODEGEN=off (== no toolchain) must leave zero numeric trace."""
-        from repro.kernels import codegen
-        monkeypatch.setenv(codegen.ENV_ENABLE, "off")
-        codegen.reset_state()
-        try:
-            assert not codegen.available()
-            x = rng.normal(size=(2, 3, 12, 12))
-            w = rng.normal(size=(4, 3, 3, 3))
-            for factory in (winograd_f2, winograd_f4):
-                np.testing.assert_array_equal(
-                    winograd_conv2d(x, w, factory(), padding=1,
-                                    backend="compiled"),
-                    winograd_conv2d(x, w, factory(), padding=1,
-                                    backend="fast"))
-            xt = Tensor(x.copy(), requires_grad=True)
-            wt = Tensor(w.copy(), requires_grad=True)
-            out = winograd_conv2d_tensor(xt, wt, winograd_f4(), padding=1,
-                                         backend="compiled")
-            out.backward(np.ones_like(out.data))
-            xf = Tensor(x.copy(), requires_grad=True)
-            wf = Tensor(w.copy(), requires_grad=True)
-            out_f = winograd_conv2d_tensor(xf, wf, winograd_f4(), padding=1,
-                                           backend="fast")
-            out_f.backward(np.ones_like(out_f.data))
-            np.testing.assert_array_equal(out.data, out_f.data)
-            np.testing.assert_array_equal(xt.grad, xf.grad)
-            np.testing.assert_array_equal(wt.grad, wf.grad)
-            assert codegen.stats_dict()["builds"] == 0
-        finally:
-            monkeypatch.delenv(codegen.ENV_ENABLE, raising=False)
-            codegen.reset_state()
-
-    def test_uncovered_geometry_delegates_to_fast(self, rng):
-        """Tiles that can't cover the asked-for output delegate to fast.
-
-        The public entry points pad inputs up to full tile coverage, so this
-        can only happen on direct backend-level calls — where ``compiled``
-        must hand the exact same call to ``fast`` rather than run a kernel
-        generated for a geometry that doesn't exist.
-        """
-        from repro.kernels import compiled
-        x_padded = rng.normal(size=(2, 3, 11, 13))  # F4: 2 tiles cover 8 < 9
-        w = rng.normal(size=(4, 3, 3, 3))
-        t = winograd_f4()
-        assert compiled.try_forward(x_padded, w, t, 9, 11) is None
-        np.testing.assert_array_equal(
-            compiled.winograd_forward(x_padded, w, t, 9, 11),
-            FAST.winograd_forward(x_padded, w, t, 9, 11))
 
 
 # --------------------------------------------------------------------------- #

@@ -376,7 +376,7 @@ class TestServer:
 
 
 # --------------------------------------------------------------------------- #
-# Shared-memory worker pool + BatchRunner transports
+# Shared-memory worker pool
 # --------------------------------------------------------------------------- #
 class TestShmPool:
     def test_run_and_map_match_inline(self, rng):
